@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke chaos-smoke coverage ci
+.PHONY: build test test-short test-race bench bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke chaos-smoke flake coverage ci
 
 build:
 	$(GO) build ./...
@@ -113,9 +113,18 @@ session-smoke:
 chaos-smoke:
 	$(GO) test -race -run 'TestFleetChaosSmoke|TestFleetAllPeersDownFallsBackLocal' -count 1 ./internal/server
 
+# Flake gate for the lifecycle tests: each runs 20 times, so an ordering
+# bug between startup, signals, drain and the goroutine-leak checks fails
+# here instead of once in a while. The SIGTERM-right-after-ready
+# regression runs 50 times.
+flake:
+	$(GO) test -run 'TestSessionConcurrent|TestFleetChaosSmoke' -count 20 ./internal/server
+	$(GO) test -run 'TestRun|TestSessionSmoke' -count 20 ./cmd/revand
+	$(GO) test -run 'TestRunSIGTERMRightAfterReady' -count 50 ./cmd/revand
+
 # Mirrors .github/workflows/ci.yml: full build + vet + tests, a short-mode
 # race pass, the revand load smoke, the scripted session smoke, the fleet
-# chaos smoke, the conformance matrix, the decompilation gate, the
+# chaos smoke, the lifecycle flake gate, the conformance matrix, the decompilation gate, the
 # differential trojan gate, the matching microbenchmark, the coverage
 # gate, and 30-second fuzz smokes of the parsers, the report decoder, the
 # canonicalizer, the RTL round trip, and the session/diff request
@@ -128,6 +137,7 @@ ci: build vet
 	$(GO) test -race -run 'TestStageCacheWarmDeterminism|TestStageCacheResumeAfterStageTimeout' -count 1 .
 	$(MAKE) session-smoke
 	$(MAKE) chaos-smoke
+	$(MAKE) flake
 	$(MAKE) conformance
 	$(MAKE) decompile-smoke
 	$(MAKE) diff-gate

@@ -115,6 +115,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		IdleTimeout:       2 * time.Minute,
 	}
 
+	// Install the signal handler before listening and announcing readiness:
+	// a SIGTERM that arrives first would otherwise hit Go's default handler
+	// and kill the process without a drain.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "revand: listen %s: %v\n", *addr, err)
@@ -131,10 +138,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case sig := <-sigs:

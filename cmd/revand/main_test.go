@@ -60,6 +60,38 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	}
 }
 
+// TestRunSIGTERMRightAfterReady delivers SIGTERM the moment run announces
+// readiness. The signal handler must already be installed by then: a
+// signal that reaches Go's default handler kills the whole test binary
+// instead of draining. Run it with -count 50 to exercise the window.
+func TestRunSIGTERMRightAfterReady(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	ready := make(chan string, 1)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, &stdout, &stderr, ready)
+	}()
+	select {
+	case <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("server did not come up\nstderr: %s", stderr.String())
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit code %d after SIGTERM, want 0\nstderr: %s", code, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+	if !strings.Contains(stdout.String(), "drained") {
+		t.Errorf("shutdown log missing drain message:\n%s", stdout.String())
+	}
+}
+
 func TestRunFlagValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-queue", "0"}, &stdout, &stderr, nil); code != 2 {

@@ -66,6 +66,8 @@ type Solution struct {
 	// Optimal is true when the search completed; false when NodeLimit was
 	// hit, in which case Values holds the best incumbent found.
 	Optimal bool
+	// Nodes is the number of branch-and-bound nodes the search visited.
+	Nodes int64
 }
 
 // Options tunes the search.
@@ -84,9 +86,10 @@ type Options struct {
 	Interrupt func() bool
 }
 
-// DefaultNodeLimit bounds the search; overlap instances solve in far fewer
-// nodes, so hitting this indicates a pathological input rather than a
-// normal run.
+// DefaultNodeLimit bounds the search when Options.NodeLimit is 0. Overlap
+// resolution does not rely on it: it passes its own per-component limit of
+// 200k nodes, which one component each of five gate-level articles
+// (mips16, riscfpu, router, oc8051, aemb) reaches.
 const DefaultNodeLimit = 20_000_000
 
 // ErrInfeasible is returned when no assignment satisfies the constraints.
@@ -113,16 +116,24 @@ type solver struct {
 	interrupt func() bool
 	stopped   bool // interrupt fired; unwind without exploring further
 
-	// cliqueOf[v] is the packing row used for v in the bound computation,
-	// or -1.
-	cliqueOf  []int32
 	branchOrd []int
 
-	// bound() scratch: per-row best unassigned objective, epoch-stamped to
-	// avoid clearing between nodes.
-	cliqueBest  []int64
-	cliqueEpoch []int64
-	epoch       int64
+	// Clique bound, kept up to date by set and undoTo (see bound).
+	// cliqueOf[v] is the clique holding positive-objective variable v, or
+	// -1; cliquePos[v] is v's index in that clique's members.
+	cliqueOf  []int32
+	cliquePos []int32
+	cliques   []clique
+	freeSum   int64 // Σ obj[v] > 0 over unassigned v in no clique
+	cliqueSum int64 // Σ over cliques of the best unassigned member's obj
+}
+
+// clique is the positive-objective part of one packing row used by the
+// bound: at most one member can be 1, so the row contributes at most its
+// best unassigned member.
+type clique struct {
+	members []int32 // by objective, best first
+	next    int     // index of the first unassigned member
 }
 
 type row struct {
@@ -134,86 +145,18 @@ type row struct {
 	// posUn = Σ over unassigned terms of max(0, c_i)
 	// negUn = Σ over unassigned terms of min(0, c_i)
 	curr, posUn, negUn int64
-	packing            bool // Σ x_i ≤ 1 with unit coefficients
+	// maxPos and maxNeg are the largest |c_i| over the row's positive and
+	// negative terms; a row whose slack is at least both forces nothing.
+	maxPos, maxNeg int64
+	packing        bool // Σ x_i ≤ 1 with unit coefficients
 }
 
 // Solve finds an optimal 0-1 assignment for p.
 func Solve(p *Problem, opt Options) (Solution, error) {
-	if len(p.Objective) != p.NumVars {
-		return Solution{}, errors.New("ilp: objective length mismatch")
+	s, err := newSolver(p, opt)
+	if err != nil {
+		return Solution{}, err
 	}
-	s := &solver{p: p, nodeLimit: opt.NodeLimit, interrupt: opt.Interrupt}
-	if s.nodeLimit == 0 {
-		s.nodeLimit = DefaultNodeLimit
-	}
-	s.obj = make([]int64, p.NumVars)
-	for i, o := range p.Objective {
-		if p.Sense == Minimize {
-			s.obj[i] = -o
-		} else {
-			s.obj[i] = o
-		}
-	}
-	s.rows = make([]row, len(p.Constraints))
-	s.varRows = make([][]varRef, p.NumVars)
-	for i, c := range p.Constraints {
-		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS}
-		r.packing = c.Rel == LE && c.RHS == 1
-		for _, t := range c.Terms {
-			if t.Var < 0 || t.Var >= p.NumVars {
-				return Solution{}, errors.New("ilp: constraint variable out of range")
-			}
-			if t.Coef > 0 {
-				r.posUn += t.Coef
-			} else {
-				r.negUn += t.Coef
-			}
-			if t.Coef != 1 {
-				r.packing = false
-			}
-			s.varRows[t.Var] = append(s.varRows[t.Var], varRef{int32(i), t.Coef})
-		}
-		s.rows[i] = r
-	}
-	s.assign = make([]int8, p.NumVars)
-	for i := range s.assign {
-		s.assign[i] = -1
-	}
-	s.cliqueOf = make([]int32, p.NumVars)
-	for i := range s.cliqueOf {
-		s.cliqueOf[i] = -1
-	}
-	// Assign each variable to one packing row for the clique bound,
-	// preferring larger rows (bigger cliques give tighter bounds).
-	rowOrder := make([]int, 0, len(s.rows))
-	for ri := range s.rows {
-		if s.rows[ri].packing {
-			rowOrder = append(rowOrder, ri)
-		}
-	}
-	sort.Slice(rowOrder, func(a, b int) bool {
-		return len(s.rows[rowOrder[a]].terms) > len(s.rows[rowOrder[b]].terms)
-	})
-	for _, ri := range rowOrder {
-		for _, t := range s.rows[ri].terms {
-			if s.cliqueOf[t.Var] == -1 {
-				s.cliqueOf[t.Var] = int32(ri)
-			}
-		}
-	}
-	// Branch on high-objective variables first.
-	s.branchOrd = make([]int, p.NumVars)
-	for i := range s.branchOrd {
-		s.branchOrd[i] = i
-	}
-	sort.Slice(s.branchOrd, func(a, b int) bool {
-		oa, ob := s.obj[s.branchOrd[a]], s.obj[s.branchOrd[b]]
-		if oa != ob {
-			return oa > ob
-		}
-		return s.branchOrd[a] < s.branchOrd[b]
-	})
-
 	s.greedyWarmStart()
 	if len(opt.Incumbent) == p.NumVars && feasible(p, opt.Incumbent) {
 		var obj int64
@@ -236,13 +179,122 @@ func Solve(p *Problem, opt Options) (Solution, error) {
 	s.undoTo(mark)
 
 	if !s.hasBest {
-		return Solution{}, ErrInfeasible
+		return Solution{Nodes: s.nodes}, ErrInfeasible
 	}
 	val := s.bestVal
 	if p.Sense == Minimize {
 		val = -val
 	}
-	return Solution{Values: s.bestSet, Objective: val, Optimal: s.nodes < s.nodeLimit && !s.stopped}, nil
+	return Solution{Values: s.bestSet, Objective: val,
+		Optimal: s.nodes < s.nodeLimit && !s.stopped, Nodes: s.nodes}, nil
+}
+
+// newSolver validates p and sets up the search state with every variable
+// unassigned.
+func newSolver(p *Problem, opt Options) (*solver, error) {
+	if len(p.Objective) != p.NumVars {
+		return nil, errors.New("ilp: objective length mismatch")
+	}
+	s := &solver{p: p, nodeLimit: opt.NodeLimit, interrupt: opt.Interrupt}
+	if s.nodeLimit == 0 {
+		s.nodeLimit = DefaultNodeLimit
+	}
+	s.obj = make([]int64, p.NumVars)
+	for i, o := range p.Objective {
+		if p.Sense == Minimize {
+			s.obj[i] = -o
+		} else {
+			s.obj[i] = o
+		}
+	}
+	s.rows = make([]row, len(p.Constraints))
+	s.varRows = make([][]varRef, p.NumVars)
+	for i, c := range p.Constraints {
+		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS}
+		r.packing = c.Rel == LE && c.RHS == 1
+		for _, t := range c.Terms {
+			if t.Var < 0 || t.Var >= p.NumVars {
+				return nil, errors.New("ilp: constraint variable out of range")
+			}
+			if t.Coef > 0 {
+				r.posUn += t.Coef
+				r.maxPos = max(r.maxPos, t.Coef)
+			} else {
+				r.negUn += t.Coef
+				r.maxNeg = max(r.maxNeg, -t.Coef)
+			}
+			if t.Coef != 1 {
+				r.packing = false
+			}
+			s.varRows[t.Var] = append(s.varRows[t.Var], varRef{int32(i), t.Coef})
+		}
+		s.rows[i] = r
+	}
+	s.assign = make([]int8, p.NumVars)
+	for i := range s.assign {
+		s.assign[i] = -1
+	}
+	s.initCliques()
+	// Branch on high-objective variables first.
+	s.branchOrd = make([]int, p.NumVars)
+	for i := range s.branchOrd {
+		s.branchOrd[i] = i
+	}
+	sort.Slice(s.branchOrd, func(a, b int) bool {
+		oa, ob := s.obj[s.branchOrd[a]], s.obj[s.branchOrd[b]]
+		if oa != ob {
+			return oa > ob
+		}
+		return s.branchOrd[a] < s.branchOrd[b]
+	})
+	return s, nil
+}
+
+// initCliques assigns each positive-objective variable to one packing row
+// for the clique bound, preferring larger rows (bigger cliques give
+// tighter bounds), and sets up the bound's running sums.
+func (s *solver) initCliques() {
+	rowOrder := make([]int, 0, len(s.rows))
+	for ri := range s.rows {
+		if s.rows[ri].packing {
+			rowOrder = append(rowOrder, ri)
+		}
+	}
+	sort.Slice(rowOrder, func(a, b int) bool {
+		return len(s.rows[rowOrder[a]].terms) > len(s.rows[rowOrder[b]].terms)
+	})
+	s.cliqueOf = make([]int32, s.p.NumVars)
+	for i := range s.cliqueOf {
+		s.cliqueOf[i] = -1
+	}
+	for _, ri := range rowOrder {
+		c := int32(-1)
+		for _, t := range s.rows[ri].terms {
+			if s.cliqueOf[t.Var] != -1 || s.obj[t.Var] <= 0 {
+				continue
+			}
+			if c == -1 {
+				c = int32(len(s.cliques))
+				s.cliques = append(s.cliques, clique{})
+			}
+			s.cliqueOf[t.Var] = c
+			s.cliques[c].members = append(s.cliques[c].members, int32(t.Var))
+		}
+	}
+	s.cliquePos = make([]int32, s.p.NumVars)
+	for ci := range s.cliques {
+		m := s.cliques[ci].members
+		sort.Slice(m, func(a, b int) bool { return s.obj[m[a]] > s.obj[m[b]] })
+		for i, v := range m {
+			s.cliquePos[v] = int32(i)
+		}
+		s.cliqueSum += s.obj[m[0]]
+	}
+	for v, o := range s.obj {
+		if o > 0 && s.cliqueOf[v] == -1 {
+			s.freeSum += o
+		}
+	}
 }
 
 // greedyWarmStart tries to construct a feasible incumbent by greedily
@@ -317,6 +369,23 @@ func (s *solver) set(v int, val int8) bool {
 		s.currObj += s.obj[v]
 	}
 	s.trail = append(s.trail, int32(v))
+	if ci := s.cliqueOf[v]; ci != -1 {
+		q := &s.cliques[ci]
+		if int(q.members[q.next]) == v {
+			s.cliqueSum -= s.obj[v]
+			for q.next++; q.next < len(q.members); q.next++ {
+				if u := q.members[q.next]; s.assign[u] == -1 {
+					s.cliqueSum += s.obj[u]
+					break
+				}
+			}
+		}
+	} else if s.obj[v] > 0 {
+		s.freeSum -= s.obj[v]
+	}
+	// Every row is updated even after a conflict: undoTo reverses v in all
+	// of its rows.
+	ok := true
 	for _, vr := range s.varRows[v] {
 		r := &s.rows[vr.row]
 		c := vr.coef
@@ -328,14 +397,11 @@ func (s *solver) set(v int, val int8) bool {
 		if val == 1 {
 			r.curr += c
 		}
-		if r.rel == LE && r.curr+r.negUn > r.rhs {
-			return false
-		}
-		if r.rel == GE && r.curr+r.posUn < r.rhs {
-			return false
+		if r.rel == LE && r.curr+r.negUn > r.rhs || r.rel == GE && r.curr+r.posUn < r.rhs {
+			ok = false
 		}
 	}
-	return true
+	return ok
 }
 
 func (s *solver) undoTo(mark int) {
@@ -347,6 +413,18 @@ func (s *solver) undoTo(mark int) {
 			s.currObj -= s.obj[int(v)]
 		}
 		s.assign[v] = -1
+		if ci := s.cliqueOf[v]; ci != -1 {
+			q := &s.cliques[ci]
+			if p := int(s.cliquePos[v]); p < q.next {
+				if q.next < len(q.members) {
+					s.cliqueSum -= s.obj[q.members[q.next]]
+				}
+				s.cliqueSum += s.obj[v]
+				q.next = p
+			}
+		} else if s.obj[v] > 0 {
+			s.freeSum += s.obj[v]
+		}
 		for _, vr := range s.varRows[v] {
 			r := &s.rows[vr.row]
 			c := vr.coef
@@ -410,8 +488,12 @@ func (s *solver) propagateRow(ri int) propResult {
 	r := &s.rows[ri]
 	res := propNone
 	if r.rel == LE {
-		if r.curr+r.negUn > r.rhs {
+		slack := r.rhs - r.curr - r.negUn
+		if slack < 0 {
 			return propConflict
+		}
+		if r.nothingForced(slack) {
+			return propNone
 		}
 		for _, t := range r.terms {
 			if s.assign[t.Var] != -1 {
@@ -431,8 +513,12 @@ func (s *solver) propagateRow(ri int) propResult {
 			}
 		}
 	} else {
-		if r.curr+r.posUn < r.rhs {
+		slack := r.curr + r.posUn - r.rhs
+		if slack < 0 {
 			return propConflict
+		}
+		if r.nothingForced(slack) {
+			return propNone
 		}
 		for _, t := range r.terms {
 			if s.assign[t.Var] != -1 {
@@ -454,38 +540,21 @@ func (s *solver) propagateRow(ri int) propResult {
 	return res
 }
 
+// nothingForced reports whether row r, with the given non-negative slack,
+// can force none of its unassigned terms: a term is forced only when its
+// |coefficient| exceeds the slack, and posUn/negUn tell whether any
+// unassigned term of each sign is left.
+func (r *row) nothingForced(slack int64) bool {
+	return (r.posUn == 0 || r.maxPos <= slack) && (r.negUn == 0 || r.maxNeg <= slack)
+}
+
 // bound returns an upper bound on the best achievable objective from the
 // current partial assignment: the current objective plus, for each packing
 // clique, the best unassigned member, plus unclustered positive weights.
+// A clique whose row already has curr = rhs still counts its best member;
+// propagation normally forces members to 0 in that case.
 func (s *solver) bound(curr int64) int64 {
-	if s.cliqueBest == nil {
-		s.cliqueBest = make([]int64, len(s.rows))
-		s.cliqueEpoch = make([]int64, len(s.rows))
-	}
-	s.epoch++
-	b := curr
-	for v, a := range s.assign {
-		if a != -1 || s.obj[v] <= 0 {
-			continue
-		}
-		ri := s.cliqueOf[v]
-		if ri == -1 {
-			b += s.obj[v]
-			continue
-		}
-		// A clique whose row already has curr = rhs contributes nothing;
-		// propagation normally forces members to 0 in that case, so curr <
-		// rhs here in practice.
-		if s.cliqueEpoch[ri] != s.epoch {
-			s.cliqueEpoch[ri] = s.epoch
-			s.cliqueBest[ri] = s.obj[v]
-			b += s.obj[v]
-		} else if s.obj[v] > s.cliqueBest[ri] {
-			b += s.obj[v] - s.cliqueBest[ri]
-			s.cliqueBest[ri] = s.obj[v]
-		}
-	}
-	return b
+	return curr + s.freeSum + s.cliqueSum
 }
 
 func (s *solver) search(from int) {

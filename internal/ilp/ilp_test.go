@@ -195,3 +195,73 @@ func TestLargePackingPerformance(t *testing.T) {
 		t.Errorf("objective = %d (optimal=%v), want %d", sol.Objective, sol.Optimal, want)
 	}
 }
+
+// TestIncrementalStateMatchesRecompute walks random set/undoTo sequences,
+// conflicts included, and checks after every step that each row's slack
+// counters and the running clique bound equal a from-scratch recomputation
+// over the current assignment.
+func TestIncrementalStateMatchesRecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		p := overlapShaped(int64(trial), 3+rng.Intn(20), trial%3 == 0)
+		s, err := newSolver(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var marks []int
+		for step := 0; step < 300; step++ {
+			if len(marks) > 0 && rng.Intn(5) < 2 {
+				k := rng.Intn(len(marks))
+				s.undoTo(marks[k])
+				marks = marks[:k]
+			} else if len(s.trail) < p.NumVars {
+				v := rng.Intn(p.NumVars)
+				for s.assign[v] != -1 {
+					v = (v + 1) % p.NumVars
+				}
+				marks = append(marks, len(s.trail))
+				s.set(v, int8(rng.Intn(2)))
+			}
+			checkIncremental(t, s)
+		}
+	}
+}
+
+func checkIncremental(t *testing.T, s *solver) {
+	t.Helper()
+	for ri, r := range s.rows {
+		var curr, posUn, negUn int64
+		for _, tm := range r.terms {
+			switch a := s.assign[tm.Var]; {
+			case a == 1:
+				curr += tm.Coef
+			case a == -1 && tm.Coef > 0:
+				posUn += tm.Coef
+			case a == -1:
+				negUn += tm.Coef
+			}
+		}
+		if r.curr != curr || r.posUn != posUn || r.negUn != negUn {
+			t.Fatalf("row %d: curr/posUn/negUn = %d/%d/%d, recomputed %d/%d/%d",
+				ri, r.curr, r.posUn, r.negUn, curr, posUn, negUn)
+		}
+	}
+	want := s.currObj
+	best := make(map[int32]int64)
+	for v, a := range s.assign {
+		if a != -1 || s.obj[v] <= 0 {
+			continue
+		}
+		if c := s.cliqueOf[v]; c == -1 {
+			want += s.obj[v]
+		} else {
+			best[c] = max(best[c], s.obj[v])
+		}
+	}
+	for _, o := range best {
+		want += o
+	}
+	if got := s.bound(s.currObj); got != want {
+		t.Fatalf("bound = %d, recomputed %d", got, want)
+	}
+}

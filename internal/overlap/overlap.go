@@ -8,8 +8,10 @@
 package overlap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"netlistre/internal/ilp"
 	"netlistre/internal/module"
@@ -38,10 +40,9 @@ type Options struct {
 	// MinSlices is the smallest number of slices a selected sliceable
 	// module must keep (the paper uses 2).
 	MinSlices int
-	// NodeLimit caps the branch-and-bound search per component (0 = a
-	// default of 1M nodes, a few seconds on the largest components). When
-	// the limit is hit the best incumbent is used and Result.Optimal is
-	// false.
+	// NodeLimit caps the branch-and-bound search per component (0 =
+	// defaultNodeLimit). When the limit is hit the best incumbent is used
+	// and Result.Optimal is false.
 	NodeLimit int64
 	// Interrupt, when non-nil, is polled inside the ILP searches; when it
 	// returns true each remaining search stops at its best incumbent and
@@ -51,11 +52,14 @@ type Options struct {
 }
 
 // defaultNodeLimit bounds per-component search time. Most components solve
-// to proven optimality in well under this; a handful of dense
-// RAM-vs-decomposition components stop at the limit with the warm-start
-// incumbent (the basic-formulation optimum extended to slices), which is
-// within noise of optimal in practice — Result.Optimal reports the
-// distinction honestly.
+// to proven optimality well under it. Five of the ten gate-level articles
+// (mips16, riscfpu, router, oc8051, aemb) each have one dense
+// RAM-vs-decomposition component that stops at the limit, so there the
+// stage costs this many nodes. On each of them the incumbent does not
+// improve between 200k and 5M nodes, so a larger limit only costs time.
+// The incumbent is not always optimal, though: a stronger (split-weight)
+// clique bound finds better optima on riscfpu and router-lut.
+// Result.Optimal reports the distinction.
 const defaultNodeLimit = 200_000
 
 // Result reports the selection.
@@ -67,6 +71,9 @@ type Result struct {
 	Coverage int
 	// Optimal is false when the solver hit its node limit.
 	Optimal bool
+	// Nodes is the number of branch-and-bound nodes over every ILP solved,
+	// including the basic-formulation warm starts of sliceable searches.
+	Nodes int64
 }
 
 // Resolve selects a non-overlapping subset of mods.
@@ -132,7 +139,7 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 			delete(comps, r)
 		}
 	}
-	sortInts(singles)
+	slices.Sort(singles)
 	for _, i := range singles {
 		res.Selected = append(res.Selected, mods[i])
 	}
@@ -140,7 +147,7 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 	for r := range comps {
 		reps = append(reps, r)
 	}
-	sortInts(reps)
+	slices.Sort(reps)
 	for _, r := range reps {
 		sub := make([]*module.Module, len(comps[r]))
 		for k, i := range comps[r] {
@@ -156,7 +163,9 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 			basicOpt := opt
 			basicOpt.Sliceable = false
 			bb := newBuilder(sub, basicOpt)
-			if bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt}); err == nil {
+			bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt})
+			res.Nodes += bsol.Nodes
+			if err == nil {
 				inc := make([]bool, b.problem.NumVars)
 				for i := range sub {
 					if !bsol.Values[bb.varOfMod[i]] {
@@ -177,17 +186,10 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 		part := b.extract(sol)
 		res.Selected = append(res.Selected, part.Selected...)
 		res.Optimal = res.Optimal && part.Optimal
+		res.Nodes += part.Nodes
 	}
 	res.Coverage = module.CoverageCount(res.Selected)
 	return res, nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // builder translates modules into an ILP.
@@ -297,8 +299,9 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 			shared = append(shared, g)
 		}
 	}
-	sortIDs(shared)
+	slices.Sort(shared)
 	seenRows := make(map[string]bool)
+	var key []byte
 	for _, g := range shared {
 		owners := covering[g]
 		vars := make(map[int]bool, len(owners))
@@ -309,19 +312,20 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 			continue
 		}
 		terms := make([]ilp.Term, 0, len(vars))
-		key := ""
 		for v := range vars {
 			terms = append(terms, ilp.Term{Var: v, Coef: 1})
 		}
 		// Canonicalize for deduplication.
-		sortTerms(terms)
+		slices.SortFunc(terms, func(a, b ilp.Term) int { return cmp.Compare(a.Var, b.Var) })
+		key = key[:0]
 		for _, t := range terms {
-			key += fmt.Sprint(t.Var, ",")
+			key = strconv.AppendInt(key, int64(t.Var), 10)
+			key = append(key, ',')
 		}
-		if seenRows[key] {
+		if seenRows[string(key)] {
 			continue
 		}
-		seenRows[key] = true
+		seenRows[string(key)] = true
 		b.problem.AddConstraint(terms, ilp.LE, 1)
 	}
 
@@ -361,22 +365,9 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 	return b
 }
 
-func sortIDs(xs []netlist.ID) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-func sortTerms(terms []ilp.Term) {
-	for i := 1; i < len(terms); i++ {
-		for j := i; j > 0 && terms[j].Var < terms[j-1].Var; j-- {
-			terms[j], terms[j-1] = terms[j-1], terms[j]
-		}
-	}
-}
-
 // extract rebuilds the selected module set from the ILP solution.
 func (b *builder) extract(sol ilp.Solution) Result {
-	var res Result
-	res.Optimal = sol.Optimal
+	res := Result{Optimal: sol.Optimal, Nodes: sol.Nodes}
 	for i, m := range b.mods {
 		if !sol.Values[b.varOfMod[i]] {
 			continue

@@ -6,9 +6,11 @@ package server
 // differential endpoints' golden behaviour and error semantics.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -247,7 +249,19 @@ func TestSessionEviction(t *testing.T) {
 func TestSessionConcurrent(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
-		_, ts := newTestServer(t, Config{MaxSessions: 4})
+		// Shut down here rather than in t.Cleanup, which would run after
+		// the leak check below and leave Serve and the queue workers
+		// counted.
+		srv := New(Config{MaxSessions: 4})
+		ts := httptest.NewServer(srv)
+		defer func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		}()
 
 		// One done job shared by every session.
 		resp := postJSON(t, ts.URL+"/v1/jobs", AnalyzeRequest{Article: "evoter"})

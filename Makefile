@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
+	$(GO) test ./internal/words -run FuzzPropagate -fuzz FuzzPropagate -fuzztime 30s
 
 vet:
 	$(GO) vet ./...
@@ -127,8 +128,8 @@ flake:
 # chaos smoke, the lifecycle flake gate, the conformance matrix, the decompilation gate, the
 # differential trojan gate, the matching microbenchmark, the coverage
 # gate, and 30-second fuzz smokes of the parsers, the report decoder, the
-# canonicalizer, the RTL round trip, and the session/diff request
-# decoders.
+# canonicalizer, the RTL round trip, the session/diff request decoders,
+# and word propagation against its scalar reference.
 ci: build vet
 	$(GO) test ./...
 	$(GO) test -short -race ./...
@@ -150,3 +151,4 @@ ci: build vet
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
+	$(GO) test ./internal/words -run FuzzPropagate -fuzz FuzzPropagate -fuzztime 30s

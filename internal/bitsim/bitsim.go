@@ -8,11 +8,13 @@
 // scalar simulator and is used where the portfolio needs bulk semantic
 // evidence cheaply: refuting candidate module matches before the QBF solver
 // runs (internal/modmatch), refuting decoder/popcount candidates before
-// BDDs are built (internal/support), and cross-checking cut functions
-// against direct cone evaluation. The scalar simulator remains the
-// reference for symbolic (D/D̄) reasoning; a D-valued run maps onto two
-// correlated bitsim runs (D=0 and D=1), and the property tests in this
-// package pin the two engines against each other under that encoding.
+// BDDs are built (internal/support), cross-checking cut functions against
+// direct cone evaluation, and checking word propagations
+// (internal/words). Symbolic (D/D̄) values are a Pair: a D=0 rail and a
+// D=1 rail, joined after every gate so that a lane unknown on either rail
+// is unknown on both. With the join, EvalPair is exactly the scalar
+// D-calculus, 64 lanes at a time; internal/sim is kept as the test oracle
+// that pins the two engines together.
 package bitsim
 
 import (
@@ -118,21 +120,78 @@ func EvalGate(kind netlist.Kind, in []Vector) Vector {
 // three-valued extension of the mask — the same answer sim.EvalLut reaches
 // by exhaustive enumeration, one lane at a time.
 func EvalLut(mask uint64, in []Vector) Vector {
-	var rec func(m uint64, j int) Vector
-	rec = func(m uint64, j int) Vector {
-		if j == 0 {
-			if m&1 == 1 {
-				return Known(^uint64(0))
-			}
-			return Known(0)
+	return lutRec(mask, len(in), in)
+}
+
+// lutRec evaluates the mask's cofactor over in[:j].
+func lutRec(m uint64, j int, in []Vector) Vector {
+	if j == 0 {
+		if m&1 == 1 {
+			return Known(^uint64(0))
 		}
-		half := uint(1) << uint(j-1)
-		lo := rec(m, j-1)
-		hi := rec(m>>half, j-1)
-		s := in[j-1]
-		return s.And(hi).Or(s.Not().And(lo)).Or(hi.And(lo))
+		return Known(0)
 	}
-	return rec(mask, len(in))
+	half := uint(1) << uint(j-1)
+	lo := lutRec(m, j-1, in)
+	hi := lutRec(m>>half, j-1, in)
+	s := in[j-1]
+	return s.And(hi).Or(s.Not().And(lo)).Or(hi.And(lo))
+}
+
+// Pair is 64 lanes of a five-valued {0, 1, D, D̄, X} signal in the
+// D-calculus encoding: R0 is the lane's value with the symbol D=0 and R1
+// its value with D=1, so 0=(0,0), 1=(1,1), D=(0,1), D̄=(1,0) and X=(X,X).
+// Every Pair the engine produces is joined: a lane is X on both rails or
+// on neither.
+type Pair struct {
+	R0, R1 Vector
+}
+
+// SymbolPair returns D in every lane.
+func SymbolPair() Pair { return Pair{R0: Known(0), R1: Known(^uint64(0))} }
+
+// UnknownPair returns X in every lane.
+func UnknownPair() Pair { return Pair{R0: Unknown(), R1: Unknown()} }
+
+// join makes a lane X on both rails when it is X on either. Without the
+// join the two rails are two exact concrete runs, which know more than the
+// D-calculus: And(D, Or(D, X)) would give D instead of X.
+func (p Pair) join() Pair {
+	unk := p.R0.Unk | p.R1.Unk
+	return Pair{R0: Vector{Val: p.R0.Val &^ unk, Unk: unk}, R1: Vector{Val: p.R1.Val &^ unk, Unk: unk}}
+}
+
+// Force sets the lanes in set to the constants in val (bits outside set
+// are ignored) on both rails.
+func (p Pair) Force(set, val uint64) Pair {
+	val &= set
+	p.R0 = Vector{Val: p.R0.Val&^set | val, Unk: p.R0.Unk &^ set}
+	p.R1 = Vector{Val: p.R1.Val&^set | val, Unk: p.R1.Unk &^ set}
+	return p
+}
+
+// Symbolic returns the lanes that carry D or D̄; among them, the lanes set
+// in R0.Val carry D̄.
+func (p Pair) Symbolic() uint64 {
+	return ^(p.R0.Unk | p.R1.Unk) & (p.R0.Val ^ p.R1.Val)
+}
+
+// EvalPair evaluates one node of the given kind (mask is the truth table of
+// a Lut) on both rails and joins them. The result equals sim.EvalGate, or
+// sim.EvalLut for a Lut, lane for lane: D∧D̄=0 and D⊕D=0 come from the
+// rails, an X anywhere in the symbol's two expansions gives X, and a Lut
+// is as precise as the scalar table lookup.
+func EvalPair(kind netlist.Kind, mask uint64, in []Pair) Pair {
+	var b0, b1 [8]Vector
+	r0, r1 := b0[:0], b1[:0]
+	for _, p := range in {
+		r0 = append(r0, p.R0)
+		r1 = append(r1, p.R1)
+	}
+	if kind == netlist.Lut {
+		return Pair{R0: EvalLut(mask, r0), R1: EvalLut(mask, r1)}.join()
+	}
+	return Pair{R0: EvalGate(kind, r0), R1: EvalGate(kind, r1)}.join()
 }
 
 // Run evaluates the combinational logic of nl with the signals in assign

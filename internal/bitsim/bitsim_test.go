@@ -3,8 +3,9 @@ package bitsim
 // Differential tests pinning the bit-parallel engine to the scalar
 // five-valued simulator: lane packing must be exact on {0, 1, X}
 // assignments, the two-run pair encoding must agree with D-calculus
-// wherever the scalar result is definite, and TableOf must reproduce the
-// truth tables the cut enumerator computes structurally.
+// wherever the scalar result is definite, the rail-joined EvalPair must
+// equal it everywhere, and TableOf must reproduce the truth tables the
+// cut enumerator computes structurally.
 
 import (
 	"math/rand"
@@ -145,7 +146,10 @@ func concretize(a map[netlist.ID]sim.Value, d bool) map[netlist.ID]Vector {
 // (D=0 and D=1). Wherever the scalar engine produces a definite value
 // (anything but X), both concrete runs must be known and decode to it:
 // 0→(0,0), 1→(1,1), D→(0,1), D̄→(1,0). Where sim says X the concrete runs
-// are unconstrained (exact simulation may know more than the D-calculus).
+// are unconstrained only because they run without the rail join: two
+// separate exact runs know more than the D-calculus (And(D, Or(D, X)) is
+// known on both). EvalPair joins the rails after every gate and matches
+// the D-calculus exactly, X included (TestEvalPairMatchesDCalculus).
 func TestRunPairEncodingD(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	five := []sim.Value{sim.Zero, sim.One, sim.D, sim.DBar, sim.X}
@@ -187,6 +191,132 @@ func TestRunPairEncodingD(t *testing.T) {
 			if decoded != want[id] {
 				t.Fatalf("trial %d node %d: sim=%v pair decodes to %v", trial, id, want[id], decoded)
 			}
+		}
+	}
+}
+
+// setLane writes the five-valued v into lane l of p.
+func setLane(p *Pair, l int, v sim.Value) {
+	bit := uint64(1) << uint(l)
+	switch v {
+	case sim.One:
+		p.R0.Val |= bit
+		p.R1.Val |= bit
+	case sim.D:
+		p.R1.Val |= bit
+	case sim.DBar:
+		p.R0.Val |= bit
+	case sim.X:
+		p.R0.Unk |= bit
+		p.R1.Unk |= bit
+	}
+}
+
+// laneValue decodes lane l of a joined pair.
+func laneValue(t *testing.T, p Pair, l int) sim.Value {
+	t.Helper()
+	v0, k0 := p.R0.Get(l)
+	v1, k1 := p.R1.Get(l)
+	if k0 != k1 || p.R0.Val&p.R0.Unk != 0 || p.R1.Val&p.R1.Unk != 0 {
+		t.Fatalf("lane %d: pair %+v is not joined", l, p)
+	}
+	switch {
+	case !k0:
+		return sim.X
+	case !v0 && !v1:
+		return sim.Zero
+	case v0 && v1:
+		return sim.One
+	case !v0:
+		return sim.D
+	}
+	return sim.DBar
+}
+
+// checkPairLanes evaluates the inputs rows (one per lane) with EvalPair
+// and compares every lane with the scalar reference.
+func checkPairLanes(t *testing.T, kind netlist.Kind, mask uint64, rows [][]sim.Value, ref func([]sim.Value) sim.Value) {
+	t.Helper()
+	k := len(rows[0])
+	in := make([]Pair, k)
+	for l, row := range rows {
+		for i, v := range row {
+			setLane(&in[i], l, v)
+		}
+	}
+	got := EvalPair(kind, mask, in)
+	for l, row := range rows {
+		if g, w := laneValue(t, got, l), ref(row); g != w {
+			t.Fatalf("%v mask %#x inputs %v: EvalPair %v, D-calculus %v", kind, mask, row, g, w)
+		}
+	}
+}
+
+// forRows calls fn with successive batches of up to 64 input rows: all 5^k
+// rows when exhaustive, else n random ones.
+func forRows(rng *rand.Rand, k int, exhaustive bool, n int, fn func([][]sim.Value)) {
+	if exhaustive {
+		n = 1
+		for i := 0; i < k; i++ {
+			n *= 5
+		}
+	}
+	var batch [][]sim.Value
+	for r := 0; r < n; r++ {
+		row := make([]sim.Value, k)
+		for i, x := 0, r; i < k; i, x = i+1, x/5 {
+			if exhaustive {
+				row[i] = sim.Value(x % 5)
+			} else {
+				row[i] = sim.Value(rng.Intn(5))
+			}
+		}
+		batch = append(batch, row)
+		if len(batch) == Lanes || r == n-1 {
+			fn(batch)
+			batch = nil
+		}
+	}
+}
+
+// TestEvalPairMatchesDCalculus: the rail-joined pair evaluation equals
+// sim.EvalGate lane for lane, X included, for every gate kind at arities
+// 1-4 over all 5^k inputs, and sim.EvalLut for random masks up to k=6.
+func TestEvalPairMatchesDCalculus(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, kind := range []netlist.Kind{netlist.Const0, netlist.Const1} {
+		got := EvalPair(kind, 0, nil)
+		want := sim.EvalGate(kind, nil)
+		for l := 0; l < Lanes; l++ {
+			if g := laneValue(t, got, l); g != want {
+				t.Fatalf("%v lane %d: %v, want %v", kind, l, g, want)
+			}
+		}
+	}
+	kinds := []netlist.Kind{
+		netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
+		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf,
+	}
+	for _, kind := range kinds {
+		maxK := 4
+		if kind == netlist.Not || kind == netlist.Buf {
+			maxK = 1
+		}
+		for k := 1; k <= maxK; k++ {
+			forRows(rng, k, true, 0, func(rows [][]sim.Value) {
+				checkPairLanes(t, kind, 0, rows, func(in []sim.Value) sim.Value { return sim.EvalGate(kind, in) })
+			})
+		}
+	}
+	for k := 1; k <= netlist.MaxLutInputs; k++ {
+		for m := 0; m < 40; m++ {
+			mask := rng.Uint64()
+			if k < netlist.MaxLutInputs {
+				mask &= 1<<(1<<uint(k)) - 1
+			}
+			forRows(rng, k, k <= 3, 256, func(rows [][]sim.Value) {
+				checkPairLanes(t, netlist.Lut, mask, rows, func(in []sim.Value) sim.Value { return sim.EvalLut(mask, in) })
+			})
 		}
 	}
 }

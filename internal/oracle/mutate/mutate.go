@@ -145,6 +145,9 @@ func applyReorder(nl *netlist.Netlist, lab *gen.Labels, seed int64) (*Mutant, er
 			m[id] = out.AddInput(node.Name)
 		case netlist.Const0, netlist.Const1:
 			m[id] = out.AddConst(node.Kind == netlist.Const1)
+			if node.Name != "" {
+				out.SetName(m[id], node.Name)
+			}
 		case netlist.Latch:
 			latches = append(latches, id)
 			continue

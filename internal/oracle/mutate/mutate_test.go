@@ -129,3 +129,42 @@ func TestNamedLookup(t *testing.T) {
 		seen[m.Name] = true
 	}
 }
+
+// TestReorderKeepsConstantNames: reorder promises an unchanged
+// fingerprint, and the fingerprint covers names, so named constants must
+// keep their names through the rebuild.
+func TestReorderKeepsConstantNames(t *testing.T) {
+	nl := netlist.New("consts")
+	a := nl.AddInput("a")
+	b := nl.AddInput("b")
+	tie0 := nl.AddConst(false)
+	nl.SetName(tie0, "tie0")
+	tie1 := nl.AddConst(true)
+	nl.SetName(tie1, "tie1")
+	anon := nl.AddConst(true)
+	g := nl.AddGate(netlist.And, a, tie1)
+	h := nl.AddGate(netlist.Or, b, tie0, anon)
+	q := nl.AddLatch(nl.AddGate(netlist.Xor, g, h))
+	nl.SetName(q, "q")
+	nl.MarkOutput("y", nl.AddGate(netlist.Nand, q, g))
+
+	for seed := int64(0); seed < 8; seed++ {
+		mut, err := applyReorder(nl, &gen.Labels{Design: nl.Name}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nl.Len(); i++ {
+			node := nl.Node(netlist.ID(i))
+			if node.Name == "" {
+				continue
+			}
+			id := mut.Netlist.FindByName(node.Name)
+			if id == netlist.Nil || mut.Netlist.Node(id).Kind != node.Kind {
+				t.Fatalf("seed %d: %s %q lost its name", seed, node.Kind, node.Name)
+			}
+		}
+		if !mut.SameFingerprint || mut.Netlist.Fingerprint() != nl.Fingerprint() {
+			t.Fatalf("seed %d: reorder changed the fingerprint", seed)
+		}
+	}
+}

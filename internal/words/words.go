@@ -9,6 +9,12 @@
 // by symbolic simulation with the word's bits set to D, up to three control
 // wires set to each binary combination, and everything else X. A
 // propagation succeeds when every target bit evaluates to D or D̄.
+//
+// The check simulates only the targets' fan-in cone, 64 control
+// assignments per bit-parallel pass, with exact D-calculus rails
+// (bitsim.Pair): its answers are those of one scalar five-valued
+// simulation per assignment, in the same order. The scalar simulator
+// (internal/sim) is the test oracle for that claim.
 package words
 
 import (
@@ -17,7 +23,6 @@ import (
 
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
-	"netlistre/internal/sim"
 )
 
 // Word is an ordered set of netlist signals treated as one multi-bit value.
@@ -91,8 +96,8 @@ type Options struct {
 	// enumeration tractable.
 	MaxControlSet int
 	// Interrupt, when non-nil, is polled between candidate checks and
-	// between control-assignment simulations; when it returns true,
-	// propagation stops and returns the words found so far.
+	// before each pass of up to 64 control assignments; when it returns
+	// true, propagation stops and returns the words found so far.
 	Interrupt func() bool
 }
 
@@ -111,22 +116,30 @@ func (o *Options) defaults() {
 // Propagate searches for forward propagations of w.
 func Propagate(nl *netlist.Netlist, w Word, opt Options) []Propagation {
 	opt.defaults()
-	var out []Propagation
-	for _, cand := range guessForward(nl, w) {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			break
-		}
-		if p, ok := checkPropagation(nl, w, cand, opt, false); ok {
-			out = append(out, p)
-		}
-	}
-	return out
+	return propagate(nl, w, opt, newChecker(nl).check)
 }
 
 // PropagateBackward searches for backward propagations: words w' among the
 // structural predecessors of w such that w' propagates to w.
 func PropagateBackward(nl *netlist.Netlist, w Word, opt Options) []Propagation {
 	opt.defaults()
+	return propagateBackward(nl, w, opt, newChecker(nl).check)
+}
+
+func propagate(nl *netlist.Netlist, w Word, opt Options, check checkFunc) []Propagation {
+	var out []Propagation
+	for _, cand := range guessForward(nl, w) {
+		if opt.Interrupt != nil && opt.Interrupt() {
+			break
+		}
+		if p, ok := check(w, cand, opt, false); ok {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func propagateBackward(nl *netlist.Netlist, w Word, opt Options, check checkFunc) []Propagation {
 	var out []Propagation
 	for _, cand := range guessBackward(nl, w) {
 		if opt.Interrupt != nil && opt.Interrupt() {
@@ -134,7 +147,7 @@ func PropagateBackward(nl *netlist.Netlist, w Word, opt Options) []Propagation {
 		}
 		// Check that cand propagates to w: simulate with cand = D and
 		// require w symbolic.
-		if p, ok := checkPropagation(nl, cand, w, opt, true); ok {
+		if p, ok := check(cand, w, opt, true); ok {
 			out = append(out, p)
 		}
 	}
@@ -236,137 +249,14 @@ func guessBackward(nl *netlist.Netlist, w Word) []Word {
 	return out
 }
 
-// controlWires returns the intersection of the depth-bounded fan-in cones
-// of the target gates, excluding the source word bits.
-func controlWires(nl *netlist.Netlist, src, tgt Word, opt Options) []netlist.ID {
-	inSrc := make(map[netlist.ID]bool, len(src.Bits))
-	for _, b := range src.Bits {
-		inSrc[b] = true
-	}
-	counts := make(map[netlist.ID]int)
-	for _, g := range tgt.Bits {
-		seen := make(map[netlist.ID]bool)
-		frontier := []netlist.ID{g}
-		for d := 0; d < opt.ControlDepth; d++ {
-			var nextLayer []netlist.ID
-			for _, x := range frontier {
-				for _, f := range nl.Fanin(x) {
-					if inSrc[f] || seen[f] {
-						continue
-					}
-					seen[f] = true
-					nextLayer = append(nextLayer, f)
-				}
-			}
-			frontier = nextLayer
-		}
-		for x := range seen {
-			counts[x]++
-		}
-	}
-	var out []netlist.ID
-	for x, c := range counts {
-		if c == len(tgt.Bits) {
-			out = append(out, x)
-		}
-	}
-	out = netlist.SortedIDs(out)
-	if len(out) > opt.MaxControlSet {
-		out = out[:opt.MaxControlSet]
-	}
-	return out
-}
-
-// checkPropagation runs the symbolic simulations. src bits are forced to D
-// (cutting them loose from their own logic, as in the paper's local-netlist
-// simulation); combinations of up to MaxControls control wires are swept
-// over all binary values; all other boundary signals are X.
-func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward bool) (Propagation, bool) {
-	assignable := controlWires(nl, src, tgt, opt)
-
-	base := make(map[netlist.ID]sim.Value, len(src.Bits))
-	for _, b := range src.Bits {
-		base[b] = sim.D
-	}
-
-	try := func(ctrl map[netlist.ID]bool) (Propagation, bool) {
-		assign := make(map[netlist.ID]sim.Value, len(base)+len(ctrl))
-		for k, v := range base {
-			assign[k] = v
-		}
-		for c, v := range ctrl {
-			if v {
-				assign[c] = sim.One
-			} else {
-				assign[c] = sim.Zero
-			}
-		}
-		vals := sim.Run(nl, assign)
-		neg := make([]bool, len(tgt.Bits))
-		for i, g := range tgt.Bits {
-			switch vals[g] {
-			case sim.D:
-				neg[i] = false
-			case sim.DBar:
-				neg[i] = true
-			default:
-				return Propagation{}, false
-			}
-		}
-		return Propagation{
-			Source:   src,
-			Target:   tgt,
-			Controls: ctrl,
-			Negated:  neg,
-			Backward: backward,
-		}, true
-	}
-
-	// No controls first.
-	if p, ok := try(map[netlist.ID]bool{}); ok {
-		return p, true
-	}
-	// Subsets of size 1..MaxControls, all binary assignments.
-	n := len(assignable)
-	for size := 1; size <= opt.MaxControls && size <= n; size++ {
-		idx := make([]int, size)
-		for i := range idx {
-			idx[i] = i
-		}
-		for {
-			if opt.Interrupt != nil && opt.Interrupt() {
-				return Propagation{}, false
-			}
-			for mask := 0; mask < 1<<uint(size); mask++ {
-				ctrl := make(map[netlist.ID]bool, size)
-				for i, ii := range idx {
-					ctrl[assignable[ii]] = mask>>uint(i)&1 == 1
-				}
-				if p, ok := try(ctrl); ok {
-					return p, true
-				}
-			}
-			// Next combination.
-			i := size - 1
-			for i >= 0 && idx[i] == n-size+i {
-				i--
-			}
-			if i < 0 {
-				break
-			}
-			idx[i]++
-			for j := i + 1; j < size; j++ {
-				idx[j] = idx[j-1] + 1
-			}
-		}
-	}
-	return Propagation{}, false
-}
-
 // PropagateAll iteratively expands a word set with forward and backward
 // propagation until a fixed point or the given round limit.
 func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([]Word, []Propagation) {
 	opt.defaults()
+	return propagateAll(nl, seeds, rounds, opt, newChecker(nl).check)
+}
+
+func propagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options, check checkFunc) ([]Word, []Propagation) {
 	seen := make(map[string]bool)
 	var all []Word
 	var frontier []Word
@@ -391,13 +281,13 @@ func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([
 			if opt.Interrupt != nil && opt.Interrupt() {
 				return all, props
 			}
-			for _, p := range Propagate(nl, w, opt) {
+			for _, p := range propagate(nl, w, opt, check) {
 				props = append(props, p)
 				t := p.Target
 				t.Origin = "propagated"
 				push(t)
 			}
-			for _, p := range PropagateBackward(nl, w, opt) {
+			for _, p := range propagateBackward(nl, w, opt, check) {
 				props = append(props, p)
 				s := p.Source
 				s.Origin = "propagated-backward"
